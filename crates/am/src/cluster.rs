@@ -22,7 +22,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::{Rc, Weak};
 
-use nowlab_metrics::MetricsSink;
 use nowlab_sim::{HookId, Notify, Sim, SimDelta, SimTime};
 use nowlab_trace::{MsgKind, SendEvent, TraceEvent, TraceSink, VisibleEvent};
 
@@ -277,13 +276,9 @@ pub(crate) struct ClusterInner {
     pub handlers: RefCell<Vec<Handler>>,
     pub stats_epoch: Cell<SimTime>,
     pub frozen_stats: RefCell<Option<CommStats>>,
-    /// Optional lifecycle observer. When empty (the default) the hot path
-    /// pays one pointer check per hook and constructs nothing.
-    pub trace: OnceCell<Rc<dyn TraceSink>>,
-    /// Optional metrics observer (utilization timelines). Same discipline
-    /// as `trace`: one pointer check per hook when empty, pure
-    /// observation when installed.
-    pub metrics: OnceCell<Rc<dyn MetricsSink>>,
+    /// The optional observer every [`TraceEvent`] goes to (see
+    /// [`ClusterInner::emit`]).
+    pub observer: OnceCell<Rc<dyn TraceSink>>,
     /// Deterministic trace-id well: advances once per port-constructed
     /// message whether or not a sink is installed, so tracing cannot
     /// perturb a run.
@@ -384,8 +379,7 @@ impl AmCluster {
                 handlers: RefCell::new(Vec::new()),
                 stats_epoch: Cell::new(SimTime::ZERO),
                 frozen_stats: RefCell::new(None),
-                trace: OnceCell::new(),
-                metrics: OnceCell::new(),
+                observer: OnceCell::new(),
                 trace_ids: Cell::new(0),
                 control_done: Cell::new(false),
                 abort_on_death: Cell::new(false),
@@ -437,20 +431,12 @@ impl AmCluster {
         cluster
     }
 
-    /// Installs a lifecycle observer (see [`TraceSink`]). The first
-    /// installation wins; later calls are ignored. Sinks are pure
-    /// observers — traced runs are event-count- and result-identical to
-    /// untraced runs.
+    /// Installs the run's observer (see [`TraceSink`]); every
+    /// [`TraceEvent`] goes to it. The first installation wins; later calls
+    /// are ignored. Sinks are pure observers — observed runs are
+    /// event-count- and result-identical to unobserved runs.
     pub fn set_trace_sink(&self, sink: Rc<dyn TraceSink>) {
-        let _ = self.inner.trace.set(sink);
-    }
-
-    /// Installs a metrics observer (see [`MetricsSink`]). The first
-    /// installation wins; later calls are ignored. Like tracing, metrics
-    /// hooks are passive: a metered run is event-count- and
-    /// result-identical to an unmetered one.
-    pub fn set_metrics_sink(&self, sink: Rc<dyn MetricsSink>) {
-        let _ = self.inner.metrics.set(sink);
+        let _ = self.inner.observer.set(sink);
     }
 
     /// Number of processors.
@@ -597,6 +583,16 @@ impl AmCluster {
 }
 
 impl ClusterInner {
+    /// Hands the event `ev` builds to the observer. With none installed
+    /// (the default) this is one pointer check and `ev` never runs, so
+    /// an unobserved run constructs nothing.
+    #[inline]
+    pub(crate) fn emit(&self, ev: impl FnOnce() -> TraceEvent) {
+        if let Some(sink) = self.observer.get() {
+            sink.record(&ev());
+        }
+    }
+
     /// Draws the next trace correlation id. Always advances (tracing on
     /// or off) so the id stream is part of the deterministic run state.
     pub(crate) fn next_trace(&self) -> u64 {
@@ -666,16 +662,26 @@ impl ClusterInner {
             (last_done, t)
         };
         src.nic_tx_free.set(tx_free);
-        if let Some(m) = self.metrics.get() {
-            // The send context is busy from DMA start to loop release;
-            // `nic_tx_free` serializes these spans, so they never overlap.
-            m.nic_tx(msg.src, start, tx_free);
-            m.window_depth(
-                msg.src,
-                self.cfg.window.saturating_sub(src.credits.get()) as usize,
-                now,
-            );
-        }
+        // All sender-side timestamps are known here, so one event carries
+        // the whole injection, delivered or dropped. The send context is
+        // busy from DMA start to loop release; `nic_tx_free` serializes
+        // these spans, so they never overlap.
+        let event = |arrival| SendEvent {
+            id: msg.trace,
+            src: msg.src,
+            dst: msg.dst,
+            reply: msg.dir == Dir::Reply,
+            kind: trace_kind(msg.mark),
+            bytes: payload_bytes,
+            o_send,
+            inject: now,
+            tx_start: start,
+            tx_free,
+            wire_done,
+            arrival,
+            in_flight: self.cfg.window.saturating_sub(src.credits.get()),
+            timer_depth: self.sim.pending_timers() as u32,
+        };
 
         // Transit. With the delay queue the added latency is applied here
         // (equivalent to deferring the presence bit at the receiver); with
@@ -708,52 +714,21 @@ impl ClusterInner {
                 };
             if lost {
                 src.counters.borrow_mut().drops += 1;
-                if let Some(sink) = self.trace.get() {
-                    sink.record(&TraceEvent::Drop {
-                        id: msg.trace,
-                        at: now,
-                    });
-                }
+                self.emit(|| TraceEvent::Drop(event(arrival)));
                 return;
             }
             if faults.duplicates(msg.src, msg.dst, nonce) {
                 src.counters.borrow_mut().dups += 1;
                 let dup_arrival = arrival + faults.jitter(msg.src, msg.dst, nonce, 1);
-                if let Some(sink) = self.trace.get() {
-                    sink.record(&TraceEvent::DupDelivery {
-                        id: msg.trace,
-                        arrival: dup_arrival,
-                    });
-                }
+                self.emit(|| TraceEvent::DupDelivery {
+                    id: msg.trace,
+                    arrival: dup_arrival,
+                });
                 self.schedule_deliver(dup_arrival, msg.clone());
             }
             arrival += faults.jitter(msg.src, msg.dst, nonce, 0);
         }
-
-        // Tracing: all sender-side timestamps are known here, so one
-        // event carries the whole injection. Pure observation — nothing
-        // is scheduled and no simulation state is touched.
-        if let Some(sink) = self.trace.get() {
-            sink.record(&TraceEvent::Send(SendEvent {
-                id: msg.trace,
-                src: msg.src,
-                dst: msg.dst,
-                reply: msg.dir == Dir::Reply,
-                kind: trace_kind(msg.mark),
-                bytes: payload_bytes,
-                o_send,
-                inject: now,
-                tx_start: start,
-                wire_done,
-                arrival,
-                in_flight: self.cfg.window.saturating_sub(src.credits.get()),
-                timer_depth: self.sim.pending_timers() as u32,
-            }));
-        }
-
-        if let Some(m) = self.metrics.get() {
-            m.wire(msg.src, msg.dst, wire_done, arrival);
-        }
+        self.emit(|| TraceEvent::Send(event(arrival)));
         self.schedule_deliver(arrival, msg);
     }
 
@@ -858,20 +833,12 @@ impl ClusterInner {
             c.retransmits += 1;
             c.o_time += self.cfg.node_faults.scale(src, self.cfg.eff_o_send());
         }
-        if let Some(sink) = self.trace.get() {
-            sink.record(&TraceEvent::Retransmit {
-                id: msg.trace,
-                attempt: attempt + 1,
-                o_send: self.cfg.eff_o_send(),
-                at: self.sim.now(),
-            });
-        }
-        if let Some(m) = self.metrics.get() {
-            // Counted, not timed: the interrupt-style o_send charge above
-            // overlaps whatever the processor was doing, so it cannot be
-            // a span in the conserving per-processor timeline.
-            m.retransmit(src, self.sim.now());
-        }
+        self.emit(|| TraceEvent::Retransmit {
+            id: msg.trace,
+            attempt: attempt + 1,
+            o_send: self.cfg.eff_o_send(),
+            at: self.sim.now(),
+        });
         msg.ack = self.ack_watermark(src, dst);
         // The interrupt-style overhead above does not precede the
         // injection in time, so the retry's attributed o_send is zero
@@ -1068,9 +1035,11 @@ impl ClusterInner {
         match self.cfg.latency_mode {
             crate::LatencyMode::DelayQueue => {
                 dst.nic_rx_free.set(now + self.cfg.eff_gap());
-                if let Some(m) = self.metrics.get() {
-                    m.nic_rx(msg.dst, now, now + self.cfg.eff_gap());
-                }
+                self.emit(|| TraceEvent::NicRx {
+                    proc: msg.dst,
+                    from: now,
+                    to: now + self.cfg.eff_gap(),
+                });
                 self.make_visible(sim, msg);
             }
             crate::LatencyMode::SlowRxPath => {
@@ -1079,9 +1048,11 @@ impl ClusterInner {
                 let d_lat = self.cfg.knobs.d_lat;
                 let visible = now + d_lat;
                 dst.nic_rx_free.set(visible + self.cfg.eff_gap());
-                if let Some(m) = self.metrics.get() {
-                    m.nic_rx(msg.dst, now, visible + self.cfg.eff_gap());
-                }
+                self.emit(|| TraceEvent::NicRx {
+                    proc: msg.dst,
+                    from: now,
+                    to: visible + self.cfg.eff_gap(),
+                });
                 self.schedule_visible(visible, msg);
             }
         }
@@ -1094,24 +1065,22 @@ impl ClusterInner {
         let dst = &self.procs[msg.dst];
         let trace_id = msg.trace;
         dst.rx.borrow_mut().push_back(msg);
-        if let Some(sink) = self.trace.get() {
-            sink.record(&TraceEvent::Visible(VisibleEvent {
+        self.emit(|| {
+            TraceEvent::Visible(VisibleEvent {
                 id: trace_id,
                 at: sim.now(),
                 rx_depth: dst.rx.borrow().len() as u32,
-            }));
-        }
+            })
+        });
         dst.rx_notify.notify_all();
     }
 
     /// Runs the registered handler for `msg` on its destination processor.
     pub(crate) fn run_handler(&self, msg: &Msg) -> ReplyData {
-        if let Some(sink) = self.trace.get() {
-            sink.record(&TraceEvent::Handler {
-                id: msg.trace,
-                at: self.sim.now(),
-            });
-        }
+        self.emit(|| TraceEvent::Handler {
+            id: msg.trace,
+            at: self.sim.now(),
+        });
         let handlers = self.handlers.borrow();
         let handler = handlers
             .get(msg.handler)

@@ -12,9 +12,8 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use nowlab_metrics::{ProcState, WaitKind};
 use nowlab_sim::{SimDelta, SimTime};
-use nowlab_trace::{RecvEvent, TraceEvent};
+use nowlab_trace::{OverheadKind, RecvEvent, TraceEvent, WaitKind, WaveKind};
 
 use crate::cluster::{CachedReply, ClusterInner, PeerStatus, ReplySlot, TxEntry};
 use crate::message::{Dir, HandlerId, Mark, Msg, Payload, ProcId, ReqId};
@@ -120,55 +119,44 @@ impl AmPort {
             .counters
             .borrow_mut()
             .compute_time += d;
-        if let Some(m) = self.inner.metrics.get() {
-            m.busy(self.proc, ProcState::Compute, start, start + d);
-        }
-        if let Some(sink) = self.inner.trace.get() {
-            sink.record(&TraceEvent::Compute {
-                proc: self.proc,
-                start,
-                dur: d,
-            });
-        }
+        self.inner.emit(|| TraceEvent::Compute {
+            proc: self.proc,
+            start,
+            dur: d,
+        });
     }
 
-    /// Marks the crossing into application phase `name` (metrics
-    /// segmentation only; a pure observation with no simulation effect).
-    pub fn phase_marker(&self, name: &str) {
-        if let Some(m) = self.inner.metrics.get() {
-            m.phase(self.proc, name, self.inner.sim.now());
-        }
-        if let Some(sink) = self.inner.trace.get() {
-            sink.record(&TraceEvent::Phase {
-                proc: self.proc,
-                label: nowlab_trace::PhaseLabel::new(name),
-                at: self.inner.sim.now(),
-            });
-        }
+    /// Marks the crossing into application phase `name` (a pure
+    /// observation with no simulation effect).
+    pub fn phase_marker(&self, name: &'static str) {
+        self.inner.emit(|| TraceEvent::Phase {
+            proc: self.proc,
+            label: name,
+            at: self.inner.sim.now(),
+        });
     }
 
     /// Marks a measured-region boundary (observation only; emitted by the
     /// Split-C layer when measurement starts/stops so the trace DAG knows
     /// which span the reported runtime covers).
     pub fn region_marker(&self, begin: bool) {
-        if let Some(sink) = self.inner.trace.get() {
-            sink.record(&TraceEvent::Region {
-                proc: self.proc,
-                begin,
-                at: self.inner.sim.now(),
-            });
-        }
+        self.inner.emit(|| TraceEvent::Region {
+            proc: self.proc,
+            begin,
+            at: self.inner.sim.now(),
+        });
     }
 
-    /// Reports an overhead span `[start, start + eff)` to the metrics
-    /// sink, split into the machine's baseline component and the Δo
-    /// busy-loop the overhead knob adds (paper §3).
-    fn note_overhead(&self, state: ProcState, base: SimDelta, eff: SimDelta, start: SimTime) {
-        if let Some(m) = self.inner.metrics.get() {
-            let split = start + base.min(eff);
-            m.busy(self.proc, state, start, split);
-            m.busy(self.proc, ProcState::DeltaO, split, start + eff);
-        }
+    /// Reports the overhead span `[start, start + dur)` just paid, whose
+    /// baseline component is `base` (the rest is the Δo busy-loop).
+    fn note_overhead(&self, kind: OverheadKind, base: SimDelta, dur: SimDelta, start: SimTime) {
+        self.inner.emit(|| TraceEvent::Overhead {
+            proc: self.proc,
+            kind,
+            start,
+            base,
+            dur,
+        });
     }
 
     /// Runs `f` on this processor's user state.
@@ -192,7 +180,7 @@ impl AmPort {
     /// Records one completed barrier (instrumentation for Table 4).
     pub fn note_barrier(&self) {
         self.inner.procs[self.proc].counters.borrow_mut().barriers += 1;
-        self.note_wave(nowlab_trace::WaveKind::Barrier);
+        self.note_wave(WaveKind::Barrier);
     }
 
     /// Records one completed collective operation of the given kind
@@ -209,21 +197,19 @@ impl AmPort {
             }
         }
         self.note_wave(match kind {
-            crate::CollKind::Broadcast => nowlab_trace::WaveKind::Broadcast,
-            crate::CollKind::Reduce => nowlab_trace::WaveKind::Reduce,
-            crate::CollKind::Allgather => nowlab_trace::WaveKind::Allgather,
-            crate::CollKind::AllToAll => nowlab_trace::WaveKind::AllToAll,
+            crate::CollKind::Broadcast => WaveKind::Broadcast,
+            crate::CollKind::Reduce => WaveKind::Reduce,
+            crate::CollKind::Allgather => WaveKind::Allgather,
+            crate::CollKind::AllToAll => WaveKind::AllToAll,
         });
     }
 
-    fn note_wave(&self, kind: nowlab_trace::WaveKind) {
-        if let Some(sink) = self.inner.trace.get() {
-            sink.record(&TraceEvent::Wave {
-                proc: self.proc,
-                kind,
-                at: self.inner.sim.now(),
-            });
-        }
+    fn note_wave(&self, kind: WaveKind) {
+        self.inner.emit(|| TraceEvent::Wave {
+            proc: self.proc,
+            kind,
+            at: self.inner.sim.now(),
+        });
     }
 
     /// Drains every message currently visible at this processor, charging
@@ -259,7 +245,7 @@ impl AmPort {
         let base_o_recv = cfg.machine.o_recv;
         let start = self.inner.sim.now();
         self.inner.sim.delay(o_recv).await;
-        self.note_overhead(ProcState::ORecv, base_o_recv, o_recv, start);
+        self.note_overhead(OverheadKind::Recv, base_o_recv, o_recv, start);
         {
             let ep = &self.inner.procs[self.proc];
             let mut c = ep.counters.borrow_mut();
@@ -269,13 +255,13 @@ impl AmPort {
                 c.o_time_in_wait += o_recv;
             }
         }
-        if let Some(sink) = self.inner.trace.get() {
-            sink.record(&TraceEvent::Recv(RecvEvent {
+        self.inner.emit(|| {
+            TraceEvent::Recv(RecvEvent {
                 id: msg.trace,
                 o_recv,
                 done: self.inner.sim.now(),
-            }));
-        }
+            })
+        });
         if reliable {
             // Every message piggybacks the sender's cumulative receipt
             // watermark; apply it before anything else so stale
@@ -441,7 +427,7 @@ impl AmPort {
         let start = self.inner.sim.now();
         self.inner.sim.delay(o_send).await;
         self.note_overhead(
-            ProcState::OSend,
+            OverheadKind::Send,
             self.inner.cfg.machine.o_send,
             o_send,
             start,
@@ -463,13 +449,11 @@ impl AmPort {
         // reply before injection; the draw order (and so the id sequence)
         // is identical whether or not tracing is installed.
         let trace = self.inner.next_trace();
-        if let Some(sink) = self.inner.trace.get() {
-            sink.record(&TraceEvent::Pair {
-                request: req.trace,
-                reply: trace,
-                at: self.inner.sim.now(),
-            });
-        }
+        self.inner.emit(|| TraceEvent::Pair {
+            request: req.trace,
+            reply: trace,
+            at: self.inner.sim.now(),
+        });
         self.inner.inject(Msg {
             src: self.proc,
             dst: req.src,
@@ -504,9 +488,11 @@ impl AmPort {
         let was_waiting = ep_flag().in_wait.replace(true);
         let t_enter = self.inner.sim.now();
         if !was_waiting {
-            if let Some(m) = self.inner.metrics.get() {
-                m.wait_enter(self.proc, kind, t_enter);
-            }
+            self.inner.emit(|| TraceEvent::WaitEnter {
+                proc: self.proc,
+                kind,
+                at: t_enter,
+            });
         }
         loop {
             self.crash_gate().await;
@@ -526,9 +512,10 @@ impl AmPort {
         ep.in_wait.set(was_waiting);
         if !was_waiting {
             ep.counters.borrow_mut().blocked_time += self.inner.sim.now().since(t_enter);
-            if let Some(m) = self.inner.metrics.get() {
-                m.wait_exit(self.proc, self.inner.sim.now());
-            }
+            self.inner.emit(|| TraceEvent::WaitExit {
+                proc: self.proc,
+                at: self.inner.sim.now(),
+            });
         }
     }
 
@@ -539,9 +526,11 @@ impl AmPort {
         let was_waiting = self.inner.procs[self.proc].in_wait.replace(true);
         let t_enter = self.inner.sim.now();
         if !was_waiting {
-            if let Some(m) = self.inner.metrics.get() {
-                m.wait_enter(self.proc, WaitKind::Rx, t_enter);
-            }
+            self.inner.emit(|| TraceEvent::WaitEnter {
+                proc: self.proc,
+                kind: WaitKind::Rx,
+                at: t_enter,
+            });
         }
         loop {
             self.crash_gate().await;
@@ -565,18 +554,17 @@ impl AmPort {
         ep.in_wait.set(was_waiting);
         if !was_waiting {
             ep.counters.borrow_mut().blocked_time += self.inner.sim.now().since(t_enter);
-            if let Some(m) = self.inner.metrics.get() {
-                m.wait_exit(self.proc, self.inner.sim.now());
-            }
-        }
-        if let Some(sink) = self.inner.trace.get() {
-            sink.record(&TraceEvent::Idle {
+            self.inner.emit(|| TraceEvent::WaitExit {
                 proc: self.proc,
-                enter: t_enter,
-                deadline,
-                exit: self.inner.sim.now(),
+                at: self.inner.sim.now(),
             });
         }
+        self.inner.emit(|| TraceEvent::Idle {
+            proc: self.proc,
+            enter: t_enter,
+            deadline,
+            exit: self.inner.sim.now(),
+        });
     }
 
     async fn acquire_credit(&self) {
@@ -596,7 +584,7 @@ impl AmPort {
         let start = self.inner.sim.now();
         self.inner.sim.delay(o_send).await;
         self.note_overhead(
-            ProcState::OSend,
+            OverheadKind::Send,
             self.inner.cfg.machine.o_send,
             o_send,
             start,

@@ -11,7 +11,18 @@ use nowlab_rng::{SeedableRng, SmallRng};
 use nowlab_splitc::{Ctx, SplitC, SpmdConfig};
 
 pub use nowlab_splitc::DegradePolicy;
-use nowlab_trace::TraceRecorder;
+use nowlab_trace::{TraceEvent, TraceRecorder, TraceSink};
+
+/// The observer of a run with tracing and metrics both on: the cluster
+/// holds one sink, so this one hands every event to both recorders.
+struct FanOut(Rc<TraceRecorder>, Rc<MetricsRecorder>);
+
+impl TraceSink for FanOut {
+    fn record(&self, ev: &TraceEvent) {
+        self.0.record(ev);
+        self.1.record(ev);
+    }
+}
 
 /// Builds the Split-C machine for `spec`, lets `setup` register custom
 /// handlers, runs `body` on every processor, and packages the result.
@@ -47,15 +58,20 @@ where
         TraceMode::Summary => Some(Rc::new(TraceRecorder::new(false))),
         TraceMode::Full => Some(Rc::new(TraceRecorder::new(true))),
     };
-    if let Some(r) = &recorder {
-        sc.set_trace_sink(Rc::clone(r) as Rc<dyn nowlab_trace::TraceSink>);
-    }
     let meter = match spec.metrics {
         MetricsMode::Off => None,
         MetricsMode::On => Some(Rc::new(MetricsRecorder::new(spec.procs, DEFAULT_WINDOW))),
     };
-    if let Some(m) = &meter {
-        sc.set_metrics_sink(Rc::clone(m) as Rc<dyn nowlab_metrics::MetricsSink>);
+    let observer: Option<Rc<dyn TraceSink>> = match (&recorder, &meter) {
+        (Some(t), Some(m)) => Some(Rc::new(FanOut(Rc::clone(t), Rc::clone(m)))),
+        (Some(t), None) => Some(Rc::clone(t) as Rc<dyn TraceSink>),
+        (None, Some(m)) => Some(Rc::clone(m) as Rc<dyn TraceSink>),
+        (None, None) => None,
+    };
+    if let Some(o) = observer {
+        sc.set_trace_sink(o);
+    }
+    if meter.is_some() {
         sc.sim().enable_event_sampling(DEFAULT_WINDOW);
     }
     setup(&sc);

@@ -70,16 +70,25 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The report schemas
+/// nest a handful of levels; the bound keeps a hostile document from
+/// recursing the parser into a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
-/// Parses one JSON document (trailing whitespace allowed).
+/// Parses one JSON document (trailing whitespace allowed). Documents
+/// nested deeper than [`MAX_DEPTH`] are rejected.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -131,14 +140,31 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Value::Str(self.string()?)),
             b't' => self.lit("true", Value::Bool(true)),
             b'f' => self.lit("false", Value::Bool(false)),
             b'n' => self.lit("null", Value::Null),
             _ => self.number(),
         }
+    }
+
+    /// Parses a container one nesting level down.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, String>,
+    ) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -267,5 +293,15 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}x").is_err());
         assert!(parse("tru").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let deep = format!("{{\"a\":{}", "[".repeat(MAX_DEPTH));
+        assert!(parse(&deep).unwrap_err().contains("nesting deeper"));
+        let hostile = "[".repeat(200_000);
+        assert!(parse(&hostile).unwrap_err().contains("nesting deeper"));
     }
 }

@@ -12,12 +12,13 @@
 //! length (the aggregate twin of the trace crate's telescoping
 //! invariant).
 //!
-//! Like tracing, the subsystem is zero-cost when disabled: the AM layer
-//! holds an `OnceCell<Rc<dyn MetricsSink>>` and the hot path pays one
-//! pointer check. Hooks are *passive* — they piggyback on state
-//! transitions the simulation already performs and schedule no events of
-//! their own, so enabling metrics cannot perturb virtual time, event
-//! counts, or any simulation result.
+//! The recorder is a consumer of the laboratory's single observation
+//! channel: it implements [`TraceSink`] and reads the processor-time and
+//! NIC facts out of the same [`TraceEvent`] stream the per-message trace
+//! recorder consumes. Like tracing, it is zero-cost when disabled (the AM
+//! layer pays one pointer check per event site) and *passive*: it
+//! schedules no events of its own, so enabling metrics cannot perturb
+//! virtual time, event counts, or any simulation result.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +27,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use nowlab_sim::{SimDelta, SimTime};
+use nowlab_trace::{OverheadKind, SendEvent, TraceEvent, TraceSink, WaitKind};
 
 pub mod json;
 mod render;
@@ -96,58 +98,6 @@ impl ProcState {
     }
 }
 
-/// What a processor is waiting *for* while it services the network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WaitKind {
-    /// Blocked acquiring a send-window credit ([`ProcState::TxWait`]).
-    Tx,
-    /// Blocked on a condition or deadline ([`ProcState::RxStall`]).
-    Rx,
-}
-
-/// Passive observer of simulation state transitions.
-///
-/// Implementations must not schedule events, mutate simulation state, or
-/// read host time — the analyzer's MET001/DET lints enforce this for the
-/// in-tree recorder. All hooks are invoked at the *end* of the span they
-/// describe (spans never overlap per processor; see [`MetricsRecorder`]).
-pub trait MetricsSink {
-    /// Processor `proc` occupied `state` over `[from, to)`.
-    fn busy(&self, proc: usize, state: ProcState, from: SimTime, to: SimTime);
-    /// Processor `proc` entered its outermost wait of kind `kind` at `at`.
-    fn wait_enter(&self, proc: usize, kind: WaitKind, at: SimTime);
-    /// Processor `proc` left its outermost wait at `at`.
-    fn wait_exit(&self, proc: usize, at: SimTime);
-    /// `proc`'s NIC send context was occupied over `[from, to)`.
-    fn nic_tx(&self, proc: usize, from: SimTime, to: SimTime);
-    /// `proc`'s NIC receive context was occupied over `[from, to)`.
-    fn nic_rx(&self, proc: usize, from: SimTime, to: SimTime);
-    /// The directed link `src -> dst` carried bits over `[from, to)`.
-    fn wire(&self, src: usize, dst: usize, from: SimTime, to: SimTime);
-    /// At injection time `at`, `proc` had `depth` unacked sends in flight.
-    fn window_depth(&self, proc: usize, depth: usize, at: SimTime);
-    /// `proc`'s transport retransmitted a message at `at`.
-    fn retransmit(&self, proc: usize, at: SimTime);
-    /// `proc` crossed into application phase `name` at `at`.
-    fn phase(&self, proc: usize, name: &str, at: SimTime);
-}
-
-/// A sink that ignores everything (useful for tests and benchmarks).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl MetricsSink for NullSink {
-    fn busy(&self, _: usize, _: ProcState, _: SimTime, _: SimTime) {}
-    fn wait_enter(&self, _: usize, _: WaitKind, _: SimTime) {}
-    fn wait_exit(&self, _: usize, _: SimTime) {}
-    fn nic_tx(&self, _: usize, _: SimTime, _: SimTime) {}
-    fn nic_rx(&self, _: usize, _: SimTime, _: SimTime) {}
-    fn wire(&self, _: usize, _: usize, _: SimTime, _: SimTime) {}
-    fn window_depth(&self, _: usize, _: usize, _: SimTime) {}
-    fn retransmit(&self, _: usize, _: SimTime) {}
-    fn phase(&self, _: usize, _: &str, _: SimTime) {}
-}
-
 /// Default sampling window: 100 µs of simulated time (the suite's
 /// test-scale runs last a few ms; benchmark runs hundreds).
 pub const DEFAULT_WINDOW: SimDelta = SimDelta::from_micros_int(100);
@@ -185,11 +135,11 @@ struct RecState {
     depth_n: u64,
 }
 
-/// The in-tree [`MetricsSink`]: cursor-based exact attribution into
-/// fixed simulated-time windows.
+/// The metrics consumer of the [`TraceEvent`] stream: cursor-based exact
+/// attribution into fixed simulated-time windows.
 ///
 /// Per processor, a cursor tracks the last attributed nanosecond. Leaf
-/// busy spans (`busy`) first flush the gap `[cursor, from)` to the
+/// busy spans (compute and overhead events) first flush the gap `[cursor, from)` to the
 /// *background* state — the enclosing wait kind if the processor is
 /// inside `wait_until`/`idle_until`, otherwise [`ProcState::Idle`] —
 /// then deposit the span itself. Because every nanosecond is deposited
@@ -244,6 +194,68 @@ impl RecState {
             self.account(proc, bg, cursor, to);
             self.procs[proc].cursor = to;
         }
+    }
+
+    /// Deposits the busy span `[from, to)` of `proc` in `state`, after
+    /// flushing the background time before it.
+    fn busy(&mut self, proc: usize, state: ProcState, from: SimTime, to: SimTime) {
+        if proc >= self.procs.len() {
+            return;
+        }
+        let (mut a, b) = (from.as_nanos(), to.as_nanos());
+        debug_assert!(
+            a >= self.procs[proc].cursor,
+            "overlapping busy span for proc {proc}: [{a}, {b}) vs cursor {}",
+            self.procs[proc].cursor
+        );
+        self.advance(proc, a);
+        // Release-mode safety: never let a malformed span rewind the
+        // cursor (attribution stays conserving, the span is truncated).
+        a = a.max(self.procs[proc].cursor);
+        self.account(proc, state, a, b);
+        let p = &mut self.procs[proc];
+        p.cursor = p.cursor.max(b);
+    }
+
+    /// Enters (`Some(kind)`) or leaves (`None`) `proc`'s outermost wait
+    /// at `at`.
+    fn wait(&mut self, proc: usize, kind: Option<WaitKind>, at: SimTime) {
+        if proc >= self.procs.len() {
+            return;
+        }
+        self.advance(proc, at.as_nanos());
+        self.procs[proc].waiting = kind;
+    }
+
+    /// Adds `[from, to)` to `proc`'s NIC receive (`rx`) or send context
+    /// occupancy.
+    fn nic(&mut self, proc: usize, rx: bool, from: SimTime, to: SimTime) {
+        if proc >= self.procs.len() || to <= from {
+            return;
+        }
+        let window = self.window;
+        let p = &mut self.procs[proc];
+        let (total, tl) = if rx {
+            (&mut p.nic_rx_total, &mut p.nic_rx)
+        } else {
+            (&mut p.nic_tx_total, &mut p.nic_tx)
+        };
+        *total += to.since(from).as_nanos();
+        deposit(window, from.as_nanos(), to.as_nanos(), |w, chunk| {
+            if tl.len() <= w {
+                tl.resize(w + 1, 0);
+            }
+            tl[w] += chunk;
+        });
+    }
+
+    /// Charges an injection's send-context occupancy and window depth.
+    fn injection(&mut self, e: &SendEvent) {
+        self.nic(e.src, false, e.tx_start, e.tx_free);
+        let depth = u64::from(e.in_flight);
+        self.depth_max = self.depth_max.max(depth);
+        self.depth_sum += u128::from(depth);
+        self.depth_n += 1;
     }
 
     fn intern(&mut self, name: &str) -> usize {
@@ -361,115 +373,135 @@ impl MetricsRecorder {
     }
 }
 
-impl MetricsSink for MetricsRecorder {
-    fn busy(&self, proc: usize, state: ProcState, from: SimTime, to: SimTime) {
+impl TraceSink for MetricsRecorder {
+    fn record(&self, ev: &TraceEvent) {
         let mut st = self.state.borrow_mut();
-        if proc >= st.procs.len() {
-            return;
-        }
-        let (mut a, b) = (from.as_nanos(), to.as_nanos());
-        debug_assert!(
-            a >= st.procs[proc].cursor,
-            "overlapping busy span for proc {proc}: [{a}, {b}) vs cursor {}",
-            st.procs[proc].cursor
-        );
-        st.advance(proc, a);
-        // Release-mode safety: never let a malformed span rewind the
-        // cursor (attribution stays conserving, the span is truncated).
-        a = a.max(st.procs[proc].cursor);
-        st.account(proc, state, a, b);
-        let p = &mut st.procs[proc];
-        p.cursor = p.cursor.max(b);
-    }
-
-    fn wait_enter(&self, proc: usize, kind: WaitKind, at: SimTime) {
-        let mut st = self.state.borrow_mut();
-        if proc >= st.procs.len() {
-            return;
-        }
-        st.advance(proc, at.as_nanos());
-        st.procs[proc].waiting = Some(kind);
-    }
-
-    fn wait_exit(&self, proc: usize, at: SimTime) {
-        let mut st = self.state.borrow_mut();
-        if proc >= st.procs.len() {
-            return;
-        }
-        st.advance(proc, at.as_nanos());
-        st.procs[proc].waiting = None;
-    }
-
-    fn nic_tx(&self, proc: usize, from: SimTime, to: SimTime) {
-        let mut st = self.state.borrow_mut();
-        if proc >= st.procs.len() || to <= from {
-            return;
-        }
-        let window = st.window;
-        let p = &mut st.procs[proc];
-        p.nic_tx_total += to.since(from).as_nanos();
-        let tl = &mut p.nic_tx;
-        deposit(window, from.as_nanos(), to.as_nanos(), |w, chunk| {
-            if tl.len() <= w {
-                tl.resize(w + 1, 0);
+        match *ev {
+            TraceEvent::Compute { proc, start, dur } => {
+                st.busy(proc, ProcState::Compute, start, start + dur);
             }
-            tl[w] += chunk;
-        });
-    }
-
-    fn nic_rx(&self, proc: usize, from: SimTime, to: SimTime) {
-        let mut st = self.state.borrow_mut();
-        if proc >= st.procs.len() || to <= from {
-            return;
-        }
-        let window = st.window;
-        let p = &mut st.procs[proc];
-        p.nic_rx_total += to.since(from).as_nanos();
-        let tl = &mut p.nic_rx;
-        deposit(window, from.as_nanos(), to.as_nanos(), |w, chunk| {
-            if tl.len() <= w {
-                tl.resize(w + 1, 0);
+            TraceEvent::Overhead {
+                proc,
+                kind,
+                start,
+                base,
+                dur,
+            } => {
+                let state = match kind {
+                    OverheadKind::Send => ProcState::OSend,
+                    OverheadKind::Recv => ProcState::ORecv,
+                };
+                let split = start + base.min(dur);
+                st.busy(proc, state, start, split);
+                st.busy(proc, ProcState::DeltaO, split, start + dur);
             }
-            tl[w] += chunk;
-        });
-    }
-
-    fn wire(&self, src: usize, dst: usize, from: SimTime, to: SimTime) {
-        if to <= from {
-            return;
+            TraceEvent::WaitEnter { proc, kind, at } => st.wait(proc, Some(kind), at),
+            TraceEvent::WaitExit { proc, at } => st.wait(proc, None, at),
+            TraceEvent::Phase { proc, label, at } => {
+                if proc < st.procs.len() {
+                    st.advance(proc, at.as_nanos());
+                    let id = st.intern(label);
+                    st.procs[proc].phase = id;
+                }
+            }
+            TraceEvent::Send(ref e) => {
+                st.injection(e);
+                if e.arrival > e.wire_done {
+                    let ns = e.arrival.since(e.wire_done).as_nanos();
+                    *st.wire.entry((e.src, e.dst)).or_insert(0) += ns;
+                }
+            }
+            // A dropped injection still occupied the send context and a
+            // window slot; only a delivered one used the wire.
+            TraceEvent::Drop(ref e) => st.injection(e),
+            TraceEvent::NicRx { proc, from, to } => st.nic(proc, true, from, to),
+            // Counted, not timed: a retransmission's interrupt-style
+            // o_send overlaps whatever the processor was doing, so it
+            // cannot be a span in the conserving per-processor timeline.
+            TraceEvent::Retransmit { .. } => st.retransmits += 1,
+            TraceEvent::Visible(_)
+            | TraceEvent::Recv(_)
+            | TraceEvent::Handler { .. }
+            | TraceEvent::DupDelivery { .. }
+            | TraceEvent::Pair { .. }
+            | TraceEvent::Idle { .. }
+            | TraceEvent::Wave { .. }
+            | TraceEvent::Region { .. } => {}
         }
-        let mut st = self.state.borrow_mut();
-        *st.wire.entry((src, dst)).or_insert(0) += to.since(from).as_nanos();
-    }
-
-    fn window_depth(&self, _proc: usize, depth: usize, _at: SimTime) {
-        let mut st = self.state.borrow_mut();
-        st.depth_max = st.depth_max.max(depth as u64);
-        st.depth_sum += depth as u128;
-        st.depth_n += 1;
-    }
-
-    fn retransmit(&self, _proc: usize, _at: SimTime) {
-        self.state.borrow_mut().retransmits += 1;
-    }
-
-    fn phase(&self, proc: usize, name: &str, at: SimTime) {
-        let mut st = self.state.borrow_mut();
-        if proc >= st.procs.len() {
-            return;
-        }
-        st.advance(proc, at.as_nanos());
-        let id = st.intern(name);
-        st.procs[proc].phase = id;
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use nowlab_trace::MsgKind;
 
-    fn t(ns: u64) -> SimTime {
+    pub(crate) fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
+    }
+
+    /// Feeds `rec` the event for a busy span of `state` over `[a, b)`: a
+    /// compute span, or an overhead span whose baseline/Δo split puts
+    /// all of it in `state`.
+    pub(crate) fn busy(rec: &MetricsRecorder, proc: usize, state: ProcState, a: u64, b: u64) {
+        let (start, dur) = (t(a), SimDelta::from_nanos(b - a));
+        let overhead = |kind, base| TraceEvent::Overhead {
+            proc,
+            kind,
+            start,
+            base,
+            dur,
+        };
+        rec.record(&match state {
+            ProcState::Compute => TraceEvent::Compute { proc, start, dur },
+            ProcState::OSend => overhead(OverheadKind::Send, dur),
+            ProcState::ORecv => overhead(OverheadKind::Recv, dur),
+            ProcState::DeltaO => overhead(OverheadKind::Send, SimDelta::ZERO),
+            other => panic!("{other:?} is background time, not a span"),
+        });
+    }
+
+    /// A send from `src` to `dst` occupying the send context over `tx`
+    /// and the wire over `wire`, with `in_flight` window slots taken.
+    pub(crate) fn send(
+        src: usize,
+        dst: usize,
+        tx: (u64, u64),
+        wire: (u64, u64),
+        in_flight: u32,
+    ) -> SendEvent {
+        SendEvent {
+            id: 1,
+            src,
+            dst,
+            reply: false,
+            kind: MsgKind::Write,
+            bytes: 0,
+            o_send: SimDelta::ZERO,
+            inject: t(tx.0),
+            tx_start: t(tx.0),
+            tx_free: t(tx.1),
+            wire_done: t(wire.0),
+            arrival: t(wire.1),
+            in_flight,
+            timer_depth: 0,
+        }
+    }
+
+    fn wait(rec: &MetricsRecorder, proc: usize, kind: Option<WaitKind>, at: u64) {
+        let at = t(at);
+        rec.record(&match kind {
+            Some(kind) => TraceEvent::WaitEnter { proc, kind, at },
+            None => TraceEvent::WaitExit { proc, at },
+        });
+    }
+
+    pub(crate) fn phase(rec: &MetricsRecorder, proc: usize, label: &'static str, at: u64) {
+        rec.record(&TraceEvent::Phase {
+            proc,
+            label,
+            at: t(at),
+        });
     }
 
     #[test]
@@ -490,13 +522,13 @@ mod tests {
             let a = cursors[p] + gap;
             let b = a + span;
             match rng() % 6 {
-                0 => rec.wait_enter(p, WaitKind::Tx, t(a)),
-                1 => rec.wait_enter(p, WaitKind::Rx, t(a)),
-                2 => rec.wait_exit(p, t(a)),
-                3 => rec.phase(p, if i % 2 == 0 { "alpha" } else { "beta" }, t(a)),
+                0 => wait(&rec, p, Some(WaitKind::Tx), a),
+                1 => wait(&rec, p, Some(WaitKind::Rx), a),
+                2 => wait(&rec, p, None, a),
+                3 => phase(&rec, p, if i % 2 == 0 { "alpha" } else { "beta" }, a),
                 _ => {
                     let s = ProcState::ALL[(rng() % 4) as usize];
-                    rec.busy(p, s, t(a), t(b));
+                    busy(&rec, p, s, a, b);
                     cursors[p] = b;
                     continue;
                 }
@@ -529,10 +561,10 @@ mod tests {
     #[test]
     fn background_time_is_attributed_to_the_enclosing_wait() {
         let rec = MetricsRecorder::new(1, SimDelta::from_nanos(1_000));
-        rec.busy(0, ProcState::Compute, t(0), t(100));
-        rec.wait_enter(0, WaitKind::Tx, t(100));
-        rec.busy(0, ProcState::ORecv, t(300), t(350)); // polled during wait
-        rec.wait_exit(0, t(500));
+        busy(&rec, 0, ProcState::Compute, 0, 100);
+        wait(&rec, 0, Some(WaitKind::Tx), 100);
+        busy(&rec, 0, ProcState::ORecv, 300, 350); // polled during wait
+        wait(&rec, 0, None, 500);
         let report = rec.finish(t(600));
         let p = &report.procs[0];
         assert_eq!(p.totals[ProcState::Compute as usize], 100);
@@ -542,21 +574,38 @@ mod tests {
     }
 
     #[test]
+    fn overhead_spans_split_into_baseline_and_delta_o() {
+        let rec = MetricsRecorder::new(1, SimDelta::from_nanos(1_000));
+        rec.record(&TraceEvent::Overhead {
+            proc: 0,
+            kind: OverheadKind::Send,
+            start: t(100),
+            base: SimDelta::from_nanos(30),
+            dur: SimDelta::from_nanos(80),
+        });
+        let report = rec.finish(t(200));
+        let p = &report.procs[0];
+        assert_eq!(p.totals[ProcState::OSend as usize], 30);
+        assert_eq!(p.totals[ProcState::DeltaO as usize], 50);
+        assert_eq!(p.totals[ProcState::Idle as usize], 120);
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "overlapping busy span")]
     fn overlapping_spans_trip_the_debug_assert() {
         let rec = MetricsRecorder::new(1, SimDelta::from_nanos(1_000));
-        rec.busy(0, ProcState::Compute, t(0), t(100));
-        rec.busy(0, ProcState::Compute, t(50), t(150));
+        busy(&rec, 0, ProcState::Compute, 0, 100);
+        busy(&rec, 0, ProcState::Compute, 50, 150);
     }
 
     #[test]
     fn phase_markers_segment_time_exactly() {
         let rec = MetricsRecorder::new(2, SimDelta::from_nanos(500));
-        rec.busy(0, ProcState::Compute, t(0), t(400));
-        rec.phase(0, "work", t(400));
-        rec.busy(0, ProcState::Compute, t(400), t(900));
-        rec.phase(1, "work", t(100));
+        busy(&rec, 0, ProcState::Compute, 0, 400);
+        phase(&rec, 0, "work", 400);
+        busy(&rec, 0, ProcState::Compute, 400, 900);
+        phase(&rec, 1, "work", 100);
         let report = rec.finish(t(1_000));
         let by_name = |n: &str| {
             report
@@ -584,17 +633,31 @@ mod tests {
     #[test]
     fn nic_and_wire_occupancy_accumulate() {
         let rec = MetricsRecorder::new(2, SimDelta::from_nanos(1_000));
-        rec.nic_tx(0, t(0), t(600));
-        rec.nic_tx(0, t(600), t(1_200));
-        rec.nic_rx(1, t(500), t(700));
-        rec.wire(0, 1, t(100), t(400));
-        rec.wire(0, 1, t(400), t(450));
-        rec.window_depth(0, 3, t(0));
-        rec.window_depth(0, 5, t(10));
-        rec.retransmit(0, t(20));
+        rec.record(&TraceEvent::Send(send(0, 1, (0, 600), (100, 400), 3)));
+        rec.record(&TraceEvent::Send(send(0, 1, (600, 1_200), (400, 450), 5)));
+        // A dropped injection occupies the send context and a window slot
+        // but never reaches the wire.
+        rec.record(&TraceEvent::Drop(send(
+            0,
+            1,
+            (1_200, 1_300),
+            (1_300, 1_800),
+            4,
+        )));
+        rec.record(&TraceEvent::NicRx {
+            proc: 1,
+            from: t(500),
+            to: t(700),
+        });
+        rec.record(&TraceEvent::Retransmit {
+            id: 1,
+            attempt: 2,
+            o_send: SimDelta::ZERO,
+            at: t(20),
+        });
         let report = rec.finish(t(2_000));
-        assert_eq!(report.procs[0].nic_tx_total, 1_200);
-        assert_eq!(report.procs[0].nic_tx, vec![1_000, 200]);
+        assert_eq!(report.procs[0].nic_tx_total, 1_300);
+        assert_eq!(report.procs[0].nic_tx, vec![1_000, 300]);
         assert_eq!(report.procs[1].nic_rx_total, 200);
         assert_eq!(report.wire.len(), 1);
         assert_eq!(report.wire[0].busy_ns, 350);

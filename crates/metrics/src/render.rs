@@ -321,24 +321,26 @@ pub fn render_report(text: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MetricsRecorder, MetricsSink, RunMeta, WaitKind};
+    use crate::tests::{busy, phase, send};
+    use crate::{MetricsRecorder, RunMeta};
     use nowlab_sim::{SimDelta, SimTime};
+    use nowlab_trace::{TraceEvent, TraceSink, WaitKind};
 
     #[test]
     fn run_report_round_trips_through_json_and_renders() {
         let rec = MetricsRecorder::new(2, SimDelta::from_nanos(1_000));
-        rec.busy(
-            0,
-            ProcState::Compute,
-            SimTime::ZERO,
-            SimTime::from_nanos(700),
-        );
-        rec.phase(0, "work", SimTime::from_nanos(700));
-        rec.wait_enter(0, WaitKind::Rx, SimTime::from_nanos(700));
-        rec.wait_exit(0, SimTime::from_nanos(1_500));
-        rec.nic_tx(0, SimTime::from_nanos(10), SimTime::from_nanos(40));
-        rec.wire(0, 1, SimTime::from_nanos(40), SimTime::from_nanos(90));
-        rec.window_depth(0, 2, SimTime::from_nanos(10));
+        busy(&rec, 0, ProcState::Compute, 0, 700);
+        phase(&rec, 0, "work", 700);
+        rec.record(&TraceEvent::WaitEnter {
+            proc: 0,
+            kind: WaitKind::Rx,
+            at: SimTime::from_nanos(700),
+        });
+        rec.record(&TraceEvent::WaitExit {
+            proc: 0,
+            at: SimTime::from_nanos(1_500),
+        });
+        rec.record(&TraceEvent::Send(send(0, 1, (10, 40), (40, 90), 2)));
         let mut report = rec.finish(SimTime::from_nanos(2_000));
         report.events_per_window = vec![3, 9];
         let mut buf = Vec::new();
@@ -369,19 +371,9 @@ mod tests {
     #[test]
     fn sweep_report_renders_per_phase_columns() {
         let rec = MetricsRecorder::new(1, SimDelta::from_nanos(1_000));
-        rec.busy(
-            0,
-            ProcState::Compute,
-            SimTime::ZERO,
-            SimTime::from_nanos(500),
-        );
-        rec.phase(0, "permute", SimTime::from_nanos(500));
-        rec.busy(
-            0,
-            ProcState::OSend,
-            SimTime::from_nanos(500),
-            SimTime::from_nanos(900),
-        );
+        busy(&rec, 0, ProcState::Compute, 0, 500);
+        phase(&rec, 0, "permute", 500);
+        busy(&rec, 0, ProcState::OSend, 500, 900);
         let report = rec.finish(SimTime::from_nanos(1_000));
         let mut buf = Vec::new();
         crate::write_sweep_json(

@@ -586,7 +586,7 @@ pub(crate) fn build(
     let mut phases: Vec<Vec<(u64, String)>> = vec![Vec::new(); procs];
     for m in &report.phases {
         if m.proc < procs {
-            phases[m.proc].push((m.at.as_nanos(), m.label.as_str().to_string()));
+            phases[m.proc].push((m.at.as_nanos(), m.label.to_string()));
         }
     }
     for list in &mut phases {

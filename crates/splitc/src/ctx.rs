@@ -109,10 +109,11 @@ impl Ctx {
         self.port.idle_until(deadline).await;
     }
 
-    /// Marks the start of a named application phase on this processor's
-    /// metrics timeline. A no-op when metrics are disabled; never affects
-    /// simulation state, so phase-marked runs stay deterministic.
-    pub fn phase(&self, name: &str) {
+    /// Marks the start of a named application phase on this processor
+    /// (segmenting the metrics timeline and the trace). A no-op when no
+    /// observer is installed; never affects simulation state, so
+    /// phase-marked runs stay deterministic.
+    pub fn phase(&self, name: &'static str) {
         self.port.phase_marker(name);
     }
 

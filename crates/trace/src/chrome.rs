@@ -207,6 +207,7 @@ mod tests {
             o_send: SimDelta::from_micros(1.8),
             inject: us(1.8),
             tx_start: us(2.0),
+            tx_free: us(7.8),
             wire_done: us(2.0),
             arrival: us(7.0),
             in_flight: 1,
@@ -233,6 +234,7 @@ mod tests {
             o_send: SimDelta::from_micros(1.8),
             inject: us(20.0),
             tx_start: us(20.0),
+            tx_free: us(25.8),
             wire_done: us(20.0),
             arrival: us(25.0),
             in_flight: 1,

@@ -15,19 +15,20 @@
 //! construction* (the seven component spans telescope to the message's
 //! end-to-end time), not a sampling estimate.
 //!
-//! The layer is **zero-cost when disabled**: producers hold an
-//! `Option<Rc<dyn TraceSink>>` and skip event construction entirely when
-//! no sink is installed. Recording must never schedule events or advance
-//! virtual time, so a traced run is event-count- and result-identical to
-//! an untraced run.
+//! [`TraceEvent`] is the laboratory's single observation channel: the AM
+//! layer holds one `OnceCell<Rc<dyn TraceSink>>` and every observer —
+//! this crate's recorder, the `nowlab-metrics` utilization recorder, or a
+//! fan-out of both — consumes the same events. The channel is
+//! **zero-cost when disabled**: with no sink installed, producers skip
+//! event construction entirely. Recording must never schedule events or
+//! advance virtual time, so an observed run is event-count- and
+//! result-identical to an unobserved one.
 //!
-//! Three consumers are provided:
+//! This crate provides two consumers of the recorded lifecycles:
 //!
 //! * [`TraceRecorder`] — assembles [`MsgRecord`] lifecycles and histogram
 //!   metrics into a [`TraceReport`].
 //! * [`chrome::write_chrome_trace`] — `about:tracing` / Perfetto JSON.
-//! * [`ring::RingSink`] — a compact fixed-size binary ring buffer that
-//!   keeps memory bounded on arbitrarily long runs.
 //!
 //! # Examples
 //!
@@ -42,7 +43,7 @@
 //! rec.record(&TraceEvent::Send(SendEvent {
 //!     id: 1, src: 0, dst: 1, reply: false, kind: MsgKind::Write, bytes: 0,
 //!     o_send: SimDelta::from_micros(1.8), inject: us(1.8), tx_start: us(1.8),
-//!     wire_done: us(1.8), arrival: us(6.8), in_flight: 1, timer_depth: 1,
+//!     tx_free: us(7.6), wire_done: us(1.8), arrival: us(6.8), in_flight: 1, timer_depth: 1,
 //! }));
 //! rec.record(&TraceEvent::Visible(VisibleEvent { id: 1, at: us(6.8), rx_depth: 1 }));
 //! rec.record(&TraceEvent::Recv(RecvEvent { id: 1, o_recv: SimDelta::from_micros(4.0), done: us(10.8) }));
@@ -57,7 +58,6 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
-pub mod ring;
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -138,6 +138,10 @@ pub struct SendEvent {
     /// Instant the transmit context picked it up (`≥ inject` when the NIC
     /// is still busy with a predecessor).
     pub tx_start: SimTime,
+    /// Instant the transmit context is released for the next message
+    /// (`wire_done` plus the gap stall); `[tx_start, tx_free)` is this
+    /// message's NIC send occupancy.
+    pub tx_free: SimTime,
     /// Instant the last fragment left the NIC (equals `tx_start` for
     /// short messages; DMA occupancy for bulk).
     pub wire_done: SimTime,
@@ -213,44 +217,26 @@ impl WaveKind {
     }
 }
 
-/// A fixed-capacity ASCII phase label. Sixteen bytes inline (longer names
-/// truncate, non-ASCII bytes drop) so [`TraceEvent`] stays `Copy` and event
-/// construction allocates nothing.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct PhaseLabel([u8; 16]);
-
-impl PhaseLabel {
-    /// Builds a label from a phase name.
-    pub fn new(name: &str) -> Self {
-        let mut bytes = [0u8; 16];
-        let mut n = 0;
-        for &b in name.as_bytes() {
-            if n == bytes.len() {
-                break;
-            }
-            if b.is_ascii() && b != 0 {
-                bytes[n] = b;
-                n += 1;
-            }
-        }
-        PhaseLabel(bytes)
-    }
-
-    /// The label text (without padding).
-    pub fn as_str(&self) -> &str {
-        let len = self.0.iter().position(|&b| b == 0).unwrap_or(self.0.len());
-        std::str::from_utf8(&self.0[..len]).unwrap_or("")
-    }
+/// Which host overhead a [`TraceEvent::Overhead`] span paid.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OverheadKind {
+    /// Send overhead `o_send` (the processor injecting a message).
+    Send,
+    /// Receive overhead `o_recv` (the processor extracting a message).
+    Recv,
 }
 
-impl std::fmt::Debug for PhaseLabel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PhaseLabel({:?})", self.as_str())
-    }
+/// What a processor is waiting *for* while it services the network.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WaitKind {
+    /// Blocked acquiring a send-window credit (flow-control back-pressure).
+    Tx,
+    /// Blocked on a condition or deadline (a receive stall).
+    Rx,
 }
 
-/// One observation from the message lifecycle. Producers construct events
-/// only when a sink is installed; sinks must not mutate simulation state.
+/// One observation from the simulation. Producers construct events only
+/// when a sink is installed; sinks must not mutate simulation state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
     /// Sender-side injection with full NIC/wire timing.
@@ -266,13 +252,11 @@ pub enum TraceEvent {
         /// Instant the handler ran.
         at: SimTime,
     },
-    /// The fault plan dropped the message on the wire.
-    Drop {
-        /// Trace correlation id.
-        id: u64,
-        /// Instant of the (failed) injection.
-        at: SimTime,
-    },
+    /// The fault plan dropped this injection on the wire. The sender paid
+    /// for it in full: `inject` is the instant of the failed injection,
+    /// and the NIC occupancy fields are charged as for a delivered
+    /// [`TraceEvent::Send`]; `arrival` is where it would have landed.
+    Drop(SendEvent),
     /// The fault plan scheduled a duplicate delivery.
     DupDelivery {
         /// Trace correlation id.
@@ -348,10 +332,52 @@ pub enum TraceEvent {
     Phase {
         /// Processor that entered the phase.
         proc: usize,
-        /// Phase name (truncated to 16 ASCII bytes).
-        label: PhaseLabel,
+        /// Phase name.
+        label: &'static str,
         /// Instant the phase began on this processor.
         at: SimTime,
+    },
+    /// A host overhead span `[start, start + dur)`. Its first
+    /// `min(base, dur)` is the machine's baseline overhead; the rest is
+    /// the Δo busy-loop the overhead knob adds (paper §3).
+    Overhead {
+        /// Processor that paid the overhead.
+        proc: usize,
+        /// Send or receive overhead.
+        kind: OverheadKind,
+        /// Instant the span started.
+        start: SimTime,
+        /// The machine's baseline overhead.
+        base: SimDelta,
+        /// Span length (baseline plus Δo, scaled on a straggler).
+        dur: SimDelta,
+    },
+    /// The processor entered its outermost network wait. Nested waits
+    /// emit nothing; the matching [`TraceEvent::WaitExit`] closes it.
+    WaitEnter {
+        /// Processor that waits.
+        proc: usize,
+        /// What it waits for.
+        kind: WaitKind,
+        /// Instant the wait began.
+        at: SimTime,
+    },
+    /// The processor left its outermost network wait.
+    WaitExit {
+        /// Processor that waited.
+        proc: usize,
+        /// Instant the wait ended.
+        at: SimTime,
+    },
+    /// The destination NIC's receive context was occupied over
+    /// `[from, to)` making a message visible.
+    NicRx {
+        /// Processor whose NIC received.
+        proc: usize,
+        /// Instant the receive context picked the message up.
+        from: SimTime,
+        /// Instant the receive context is free again.
+        to: SimTime,
     },
 }
 
@@ -361,11 +387,12 @@ impl TraceEvent {
     /// their own identifiers and return `None`.
     pub fn id(&self) -> Option<u64> {
         match *self {
-            TraceEvent::Send(SendEvent { id, .. }) => Some(id),
+            TraceEvent::Send(SendEvent { id, .. }) | TraceEvent::Drop(SendEvent { id, .. }) => {
+                Some(id)
+            }
             TraceEvent::Visible(VisibleEvent { id, .. }) => Some(id),
             TraceEvent::Recv(RecvEvent { id, .. }) => Some(id),
             TraceEvent::Handler { id, .. }
-            | TraceEvent::Drop { id, .. }
             | TraceEvent::DupDelivery { id, .. }
             | TraceEvent::Retransmit { id, .. } => Some(id),
             TraceEvent::Pair { .. }
@@ -373,29 +400,25 @@ impl TraceEvent {
             | TraceEvent::Idle { .. }
             | TraceEvent::Wave { .. }
             | TraceEvent::Region { .. }
-            | TraceEvent::Phase { .. } => None,
+            | TraceEvent::Phase { .. }
+            | TraceEvent::Overhead { .. }
+            | TraceEvent::WaitEnter { .. }
+            | TraceEvent::WaitExit { .. }
+            | TraceEvent::NicRx { .. } => None,
         }
     }
 }
 
-/// Receives lifecycle events from the simulation layers.
+/// Receives events from the simulation layers; the laboratory's only
+/// observer interface.
 ///
 /// Contract: a sink is a pure observer. It must not schedule simulation
 /// events, advance virtual time, or otherwise influence anything
-/// simulation-visible — traced and untraced runs must be event-count- and
-/// result-identical.
+/// simulation-visible — observed and unobserved runs must be event-count-
+/// and result-identical.
 pub trait TraceSink {
-    /// Observes one lifecycle event.
+    /// Observes one event.
     fn record(&self, ev: &TraceEvent);
-}
-
-/// A sink that discards everything — for measuring the cost of event
-/// construction alone.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&self, _ev: &TraceEvent) {}
 }
 
 /// Exact per-component cost attribution for one message, all integer
@@ -665,7 +688,7 @@ pub struct PhaseMark {
     /// Processor that entered the phase.
     pub proc: usize,
     /// Phase name.
-    pub label: PhaseLabel,
+    pub label: &'static str,
     /// Instant the phase began on this processor.
     pub at: SimTime,
 }
@@ -1156,9 +1179,9 @@ impl TraceSink for TraceRecorder {
                     }
                 }
             }
-            TraceEvent::Drop { id, .. } => {
+            TraceEvent::Drop(e) => {
                 st.summary.drops += 1;
-                if let Some(p) = st.pending.get_mut(id) {
+                if let Some(p) = st.pending.get_mut(&e.id) {
                     p.dropped_attempts += 1;
                 }
             }
@@ -1250,11 +1273,17 @@ impl TraceSink for TraceRecorder {
                 if self.keep_records {
                     st.phases.push(PhaseMark {
                         proc: *proc,
-                        label: *label,
+                        label,
                         at: *at,
                     });
                 }
             }
+            // Processor-time and NIC-occupancy facts belong to the
+            // metrics recorder; message lifecycles do not need them.
+            TraceEvent::Overhead { .. }
+            | TraceEvent::WaitEnter { .. }
+            | TraceEvent::WaitExit { .. }
+            | TraceEvent::NicRx { .. } => {}
         }
     }
 }
@@ -1300,6 +1329,7 @@ mod tests {
             o_send: SimDelta::from_micros(1.8),
             inject: us(begin_us + 1.8),
             tx_start: us(begin_us + 1.8),
+            tx_free: us(begin_us + 7.6),
             wire_done: us(begin_us + 1.8),
             arrival: us(begin_us + 6.8),
             in_flight: 1,
@@ -1351,7 +1381,8 @@ mod tests {
             bytes: 4096,
             o_send: SimDelta::from_micros(1.8),
             inject: us(1.8),
-            tx_start: us(3.0),    // tx NIC busy 1.2us
+            tx_start: us(3.0), // tx NIC busy 1.2us
+            tx_free: us(115.8),
             wire_done: us(110.0), // DMA 107us
             arrival: us(115.0),
             in_flight: 3,
@@ -1397,7 +1428,10 @@ mod tests {
     fn retransmit_restarts_the_attempt_and_counts() {
         let rec = TraceRecorder::new(true);
         rec.record(&send(1, 0, 1, 0.0)); // original, dropped on the wire
-        rec.record(&TraceEvent::Drop { id: 1, at: us(1.8) });
+        let TraceEvent::Send(lost) = send(1, 0, 1, 0.0) else {
+            unreachable!()
+        };
+        rec.record(&TraceEvent::Drop(lost));
         rec.record(&TraceEvent::Retransmit {
             id: 1,
             attempt: 2,
@@ -1415,6 +1449,7 @@ mod tests {
             o_send: SimDelta::ZERO,
             inject: us(500.0),
             tx_start: us(500.0),
+            tx_free: us(505.8),
             wire_done: us(500.0),
             arrival: us(505.0),
             in_flight: 1,

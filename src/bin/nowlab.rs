@@ -352,16 +352,37 @@ fn coll_of(flags: &HashMap<String, String>) -> Result<CollConfig, String> {
 /// far beyond any healthy run in the suite.
 const FAULTY_RUN_DEADLINE: SimDelta = SimDelta::from_micros_int(120_000_000);
 
-/// Attaches livelock guards to `spec`: always an event budget, plus a
-/// virtual-time deadline when the wire is faulty (retransmission backoff
-/// never gives up on its own, so only a limit turns total loss into N/A).
-fn guard(spec: RunSpec) -> RunSpec {
-    let spec = spec.with_event_limit(300_000_000);
-    if spec.net.faults.is_active() || spec.net.node_faults.is_active() {
-        spec.with_time_limit(FAULTY_RUN_DEADLINE)
-    } else {
-        spec
+/// Rejects a spec the simulator cannot run as asked, then attaches
+/// livelock guards: always an event budget, plus a virtual-time deadline
+/// when the wire is faulty (retransmission backoff never gives up on its
+/// own, so only a limit turns total loss into N/A).
+fn guard(spec: RunSpec) -> Result<RunSpec, String> {
+    if spec.procs == 0 {
+        return Err("--procs 0: a run needs at least one processor".to_string());
     }
+    if let Some(f) = spec
+        .net
+        .node_faults
+        .faults
+        .iter()
+        .flatten()
+        .find(|f| f.node >= spec.procs)
+    {
+        return Err(format!(
+            "node fault on p{}, but the run has only {} processors (p0..p{})",
+            f.node,
+            spec.procs,
+            spec.procs - 1
+        ));
+    }
+    let spec = spec.with_event_limit(300_000_000);
+    Ok(
+        if spec.net.faults.is_active() || spec.net.node_faults.is_active() {
+            spec.with_time_limit(FAULTY_RUN_DEADLINE)
+        } else {
+            spec
+        },
+    )
 }
 
 fn find_app(scale: SuiteScale, name: &str) -> Result<Box<dyn SweepableApp>, String> {
@@ -454,7 +475,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
             .with_coll(coll_of(flags)?)
             .with_trace(trace_mode_of(flags))
             .with_metrics(metrics_mode_of(flags)),
-    );
+    )?;
     let jobs = jobs_of(flags)?;
     let verify = flags.contains_key("verify-determinism");
     // With --jobs > 1 the determinism double-run executes both replicas
@@ -625,7 +646,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
                 TraceMode::Off
             })
             .with_metrics(metering),
-    );
+    )?;
     let values = axis.paper_values();
     let result = match sweep_jobs(app.as_ref(), &spec, axis, &values, jobs_of(flags)?) {
         Ok(s) => s,
@@ -833,31 +854,31 @@ fn cmd_sweep_chaos(
     }
     let seed: u64 = parse_or(flags, "seed", 1u64)?;
     let fault_seed: u64 = parse_or(flags, "fault-seed", 1u64)?;
-    let baseline_spec = guard(RunSpec::new(procs).with_net(net).with_seed(seed));
+    let baseline_spec = guard(RunSpec::new(procs).with_net(net).with_seed(seed))?;
     let baseline = app.run(&baseline_spec);
     if !baseline.completed {
         println!("sweep N/A — the healthy baseline run did not complete");
         return Ok(ExitCode::SUCCESS);
     }
     let victim = procs / 2;
-    let specs: Vec<(f64, RunSpec)> = CHAOS_FRACTIONS
+    let specs = CHAOS_FRACTIONS
         .iter()
-        .map(|&f| {
+        .map(|&f| -> Result<(f64, RunSpec), String> {
             let at = SimTime::ZERO
                 + SimDelta::from_nanos((f * baseline.runtime.as_nanos() as f64) as u64);
             let plan = NodeFaultPlan::none()
                 .with_seed(fault_seed)
                 .with_fault(NodeFault::crash(victim, at));
-            (
+            Ok((
                 f,
                 guard(
                     RunSpec::new(procs)
                         .with_net(net.with_node_faults(plan))
                         .with_seed(seed),
-                ),
-            )
+                )?,
+            ))
         })
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     let outs: Vec<RunOutcome> = parallel_map(jobs_of(flags)?, &specs, |_, (_, spec)| app.run(spec));
     let mut t = Table::new(
         format!(
@@ -952,7 +973,7 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
             .with_net(net_of(flags)?)
             .with_seed(parse_or(flags, "seed", 1u64)?)
             .with_coll(coll_of(flags)?),
-    );
+    )?;
     let p = predict_app(app.as_ref(), &spec, &axes, jobs_of(flags)?)?;
     println!("{}", p.render());
     if let Some(path) = flags.get("out") {
@@ -996,7 +1017,7 @@ fn cmd_suite(flags: &HashMap<String, String>) -> Result<(), String> {
         RunSpec::new(procs)
             .with_net(net_of(flags)?)
             .with_coll(coll_of(flags)?),
-    );
+    )?;
     let apps = suite_scaled(scale);
     // Whole apps are independent runs; fan them out and print in suite
     // order (results are collected by index, so the table is identical to

@@ -462,3 +462,35 @@ fn bad_node_fault_specs_fail_with_usage() {
         assert!(text.contains(needle), "{args:?}: {text}");
     }
 }
+
+#[test]
+fn report_rejects_hostile_nesting_without_overflowing() {
+    let deep = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let (ok, text) = nowlab(&["report", deep.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(text.contains("nesting deeper than"), "{text}");
+}
+
+#[test]
+fn impossible_processor_counts_and_fault_targets_fail_with_usage() {
+    for cmd in [
+        vec!["run", "--app", "radix", "--scale", "test", "--procs", "0"],
+        vec!["suite", "--scale", "test", "--procs", "0"],
+        vec![
+            "predict", "--app", "radix", "--scale", "test", "--procs", "0",
+        ],
+    ] {
+        let (ok, text) = nowlab(&cmd);
+        assert!(!ok, "{cmd:?}: {text}");
+        assert!(text.contains("at least one processor"), "{cmd:?}: {text}");
+        assert!(text.contains("usage:"), "{cmd:?}: {text}");
+    }
+    for fault in [["--crash", "p9@1ms"], ["--straggler", "p4x2"]] {
+        let mut cmd = vec!["run", "--app", "radix", "--scale", "test", "--procs", "4"];
+        cmd.extend(fault);
+        let (ok, text) = nowlab(&cmd);
+        assert!(!ok, "{cmd:?}: {text}");
+        assert!(text.contains("only 4 processors"), "{cmd:?}: {text}");
+    }
+}
