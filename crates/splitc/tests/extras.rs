@@ -4,7 +4,7 @@
 
 use nowlab_am::{Knobs, NetConfig};
 use nowlab_sim::{SimDelta, SimTime};
-use nowlab_splitc::{run_spmd, GlobalPtr, SpmdConfig};
+use nowlab_splitc::{run_spmd, CollAlgo, CollConfig, GlobalPtr, SpmdConfig};
 
 #[test]
 fn bulk_scatter_deposits_noncontiguous_words() {
@@ -189,18 +189,23 @@ fn lock_backoff_jitter_desynchronizes_identical_spinners() {
     assert_eq!(outcome.expect_outputs()[0], 36);
 }
 
+/// A run of `procs` processors whose broadcasts all take the binomial tree.
+fn binomial(procs: usize) -> SpmdConfig {
+    SpmdConfig::new(procs).with_coll(CollConfig::forced(CollAlgo::Binomial))
+}
+
 #[test]
 fn broadcast_reaches_every_processor_from_any_root() {
     for procs in [2usize, 5, 8, 13] {
         for root in [0usize, procs - 1, procs / 2] {
-            let outcome = run_spmd(&SpmdConfig::new(procs), move |ctx| async move {
+            let outcome = run_spmd(&binomial(procs), move |ctx| async move {
                 ctx.barrier().await;
                 let data = if ctx.me() == root {
                     vec![7, 8, 9, root as u64]
                 } else {
                     Vec::new()
                 };
-                let got = ctx.broadcast_words(root, data).await;
+                let got = ctx.coll_broadcast(root, data, 4).await;
                 ctx.barrier().await;
                 (got == vec![7, 8, 9, root as u64]) as u64
             });
@@ -216,7 +221,7 @@ fn broadcast_reaches_every_processor_from_any_root() {
 #[test]
 fn broadcast_uses_logarithmically_many_messages() {
     let count_for = |procs: usize| {
-        let outcome = run_spmd(&SpmdConfig::new(procs), move |ctx| async move {
+        let outcome = run_spmd(&binomial(procs), move |ctx| async move {
             ctx.barrier().await;
             if ctx.me() == 0 {
                 ctx.reset_measurement();
@@ -227,7 +232,7 @@ fn broadcast_uses_logarithmically_many_messages() {
             } else {
                 Vec::new()
             };
-            ctx.broadcast_words(0, data).await;
+            ctx.coll_broadcast(0, data, 16).await;
             ctx.barrier().await;
             if ctx.me() == 0 {
                 ctx.freeze_measurement();
@@ -246,7 +251,7 @@ fn broadcast_uses_logarithmically_many_messages() {
     );
 
     let time_for = |procs: usize| {
-        let outcome = run_spmd(&SpmdConfig::new(procs), move |ctx| async move {
+        let outcome = run_spmd(&binomial(procs), move |ctx| async move {
             ctx.barrier().await;
             let t0 = ctx.now();
             let data = if ctx.me() == 0 {
@@ -254,7 +259,7 @@ fn broadcast_uses_logarithmically_many_messages() {
             } else {
                 Vec::new()
             };
-            ctx.broadcast_words(0, data).await;
+            ctx.coll_broadcast(0, data, 16).await;
             (ctx.now() - t0).as_micros_f64()
         });
         outcome.expect_outputs().into_iter().fold(0.0f64, f64::max)
