@@ -3,7 +3,9 @@
 use std::fmt;
 
 use nowlab_am::{AmCluster, AmPort, HandlerId, Mark, NetConfig, Payload};
-use nowlab_coll::{ops as coll_ops, CollAccess, CollConfig, CollHandlers, CollState, Selector};
+use nowlab_coll::{
+    ops as coll_ops, CollAccess, CollConfig, CollHandlers, CollState, ReduceAlgo, Selector,
+};
 use nowlab_sim::{SimDelta, SimTime};
 
 use crate::layer::Prims;
@@ -388,144 +390,13 @@ impl Ctx {
         self.port.note_barrier();
     }
 
-    /// Global sum reduction: every processor contributes `value`, everyone
-    /// receives the total.
+    /// Global wrapping sum: every processor contributes `value`, everyone
+    /// receives the total. Always coll's flat reduction (every processor
+    /// sends to processor 0, which posts the total back), whatever
+    /// `--coll-algo` says; [`Ctx::coll_allreduce_sum`] is the
+    /// model-selected variant.
     pub async fn allreduce_sum(&self, value: u64) -> u64 {
-        let p = self.procs();
-        if p == 1 {
-            return value;
-        }
-        let me = self.me();
-        if me == 0 {
-            // Root contributes locally and gathers the rest. Confirmed-dead
-            // processors are not waited for: the reduction degrades to the
-            // survivors' partial sum.
-            self.with_mem(|m| {
-                m.reduce_acc = m.reduce_acc.wrapping_add(value);
-                m.reduce_count += 1;
-            });
-            self.port
-                .wait_until(|| self.with_mem(|m| m.reduce_count) >= self.port.alive_count() as u64)
-                .await;
-            let total = self.with_mem(|m| {
-                let t = m.reduce_acc;
-                m.reduce_acc = 0;
-                m.reduce_count = 0;
-                m.reduce_result = t;
-                m.reduce_result_gen += 1;
-                t
-            });
-            for q in 1..p {
-                self.port
-                    .post(
-                        q,
-                        self.prims.reduce_result,
-                        [total, 0, 0, 0],
-                        Payload::None,
-                        Mark::Barrier,
-                    )
-                    .await;
-            }
-            total
-        } else {
-            let gen0 = self.with_mem(|m| m.reduce_result_gen);
-            self.port
-                .post(
-                    0,
-                    self.prims.reduce_contrib,
-                    [value, 0, 0, 0],
-                    Payload::None,
-                    Mark::Barrier,
-                )
-                .await;
-            // A dead root can never publish a total; degrade to the local
-            // contribution rather than wait forever.
-            self.port
-                .wait_until(|| {
-                    self.with_mem(|m| m.reduce_result_gen) > gen0 || self.port.peer_dead(0)
-                })
-                .await;
-            if self.with_mem(|m| m.reduce_result_gen) > gen0 {
-                self.with_mem(|m| m.reduce_result)
-            } else {
-                value
-            }
-        }
-    }
-
-    /// Binomial-tree broadcast: `root`'s `words` reach every processor in
-    /// `⌈log₂P⌉` rounds of bulk messages. A collective — every processor
-    /// must call it, and every processor receives the broadcast data.
-    ///
-    /// Non-root callers' `words` argument is ignored (pass `Vec::new()`).
-    /// Consecutive broadcasts must be separated by a [`Ctx::barrier`] (the
-    /// scratch slot holds one payload).
-    pub async fn broadcast_words(&self, root: usize, words: Vec<u64>) -> Vec<u64> {
-        let p = self.procs();
-        let me = self.me();
-        if p == 1 {
-            return words;
-        }
-        let rank = (me + p - root) % p; // position in the broadcast tree
-        let data = if rank == 0 {
-            self.with_mem(|m| {
-                m.bcast_data = words.clone();
-                m.bcast_gen += 1;
-                m.bcast_taken += 1; // the root consumes its own broadcast
-            });
-            words
-        } else {
-            // Wait for an unconsumed broadcast, not for `bcast_gen` to
-            // move past a snapshot: the payload may already have been
-            // serviced while this processor sat in the preceding barrier
-            // (retransmission delays make that overtaking real), and a
-            // snapshot taken now would never be exceeded.
-            //
-            // This processor's binomial-tree parent is the only one that
-            // can deliver the payload; if the detector confirms it dead,
-            // the broadcast degrades to an empty payload here rather than
-            // waiting forever.
-            let parent = {
-                let mut high = 1usize;
-                while high * 2 <= rank {
-                    high *= 2;
-                }
-                (root + rank - high) % p
-            };
-            self.port
-                .wait_until(|| {
-                    self.with_mem(|m| m.bcast_gen > m.bcast_taken) || self.port.peer_dead(parent)
-                })
-                .await;
-            self.with_mem(|m| {
-                if m.bcast_gen > m.bcast_taken {
-                    m.bcast_taken += 1;
-                    m.bcast_data.clone()
-                } else {
-                    Vec::new()
-                }
-            })
-        };
-        // Forward to binomial children: rank + 2^k for every k with
-        // 2^k > rank.
-        let mut step = 1usize;
-        while step <= rank {
-            step <<= 1;
-        }
-        while rank + step < p {
-            let child = (root + rank + step) % p;
-            self.port
-                .post(
-                    child,
-                    self.prims.bcast,
-                    [data.len() as u64, 0, 0, 0],
-                    Payload::from_words(data.clone()),
-                    Mark::Bulk,
-                )
-                .await;
-            step <<= 1;
-        }
-        data
+        coll_ops::allreduce_sum(self, ReduceAlgo::Flat, value).await
     }
 
     // ------------------------------------------------------------------

@@ -4,7 +4,8 @@
 //! [`SplitC`] builds a cluster whose processors each hold a
 //! [`Memory`](crate::Memory), registers the primitive Active-Message
 //! handlers (read, write, fetch-add, compare-swap, bulk put/get, barrier,
-//! mailbox enqueue, reduction), and runs one SPMD body per processor.
+//! mailbox enqueue) alongside the collectives layer's, and runs one SPMD
+//! body per processor.
 
 use std::future::Future;
 
@@ -27,9 +28,6 @@ pub struct Prims {
     pub(crate) bulk_get: HandlerId,
     pub(crate) barrier: HandlerId,
     pub(crate) enqueue: HandlerId,
-    pub(crate) reduce_contrib: HandlerId,
-    pub(crate) reduce_result: HandlerId,
-    pub(crate) bcast: HandlerId,
 }
 
 /// How an SPMD program reacts to a confirmed peer death (the node-level
@@ -324,13 +322,8 @@ impl SplitC {
             for i in 0..p {
                 self.cluster.port(i).with_state(|m: &mut Memory| {
                     eprintln!(
-                        "proc {i}: barrier_gen={} arrived={:?} reduce_count={} \
-                         reduce_gen={} bcast_gen={}",
-                        m.barrier_gen,
-                        m.barrier_arrived,
-                        m.reduce_count,
-                        m.reduce_result_gen,
-                        m.bcast_gen,
+                        "proc {i}: barrier_gen={} arrived={:?} coll={:?}",
+                        m.barrier_gen, m.barrier_arrived, m.coll,
                     );
                 });
             }
@@ -454,29 +447,6 @@ fn register_prims(cluster: &AmCluster) -> Prims {
         );
         ReplyData::ack()
     });
-    let reduce_contrib = cluster.register_handler(move |c| {
-        let m = mem_of(c.state);
-        m.reduce_acc = m.reduce_acc.wrapping_add(c.msg.args[0]);
-        m.reduce_count += 1;
-        ReplyData::ack()
-    });
-    let reduce_result = cluster.register_handler(move |c| {
-        let m = mem_of(c.state);
-        m.reduce_result = c.msg.args[0];
-        m.reduce_result_gen += 1;
-        ReplyData::ack()
-    });
-    let bcast = cluster.register_handler(move |c| {
-        let m = mem_of(c.state);
-        m.bcast_data = c
-            .msg
-            .payload
-            .as_words()
-            .expect("broadcast payload missing")
-            .to_vec();
-        m.bcast_gen += 1;
-        ReplyData::ack()
-    });
 
     Prims {
         read,
@@ -488,8 +458,5 @@ fn register_prims(cluster: &AmCluster) -> Prims {
         bulk_get,
         barrier,
         enqueue,
-        reduce_contrib,
-        reduce_result,
-        bcast,
     }
 }

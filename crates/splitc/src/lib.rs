@@ -10,8 +10,11 @@
 //!   (the read-based vs write-based distinction the paper leans on),
 //! * atomic fetch-add / compare-swap at the owner, and spin locks,
 //! * bulk put/get using the Active-Message bulk mechanism,
-//! * collectives: a dissemination [`Ctx::barrier`], [`Ctx::allreduce_sum`],
-//!   and a binomial-tree [`Ctx::broadcast_words`],
+//! * Split-C's own dissemination [`Ctx::barrier`],
+//! * collectives from [`nowlab_coll`]: [`Ctx::allreduce_sum`] (always the
+//!   flat reduction) and the model-selected [`Ctx::coll_broadcast`],
+//!   [`Ctx::coll_allreduce_sum`], [`Ctx::coll_allgather`] and
+//!   [`Ctx::coll_alltoall`],
 //! * one-way user active messages into [`Memory`] mailboxes (task queues).
 //!
 //! Every remote operation pays the LogGP costs configured on the cluster, so

@@ -9,6 +9,8 @@
 //!    components sum exactly to the window's length, and the run totals
 //!    sum exactly to elapsed simulated time. No nanosecond is lost or
 //!    double-counted, in integers, with no epsilon.
+//! 3. **Collective accounting** — every Split-C reduction reaches the
+//!    report's collective counters.
 
 use nowlab::apps::{suite_scaled, SuiteScale};
 use nowlab::core::{MetricsMode, RunSpec, SweepableApp};
@@ -92,4 +94,20 @@ fn event_density_sampling_accounts_for_every_event() {
         sampled, out.events,
         "per-window event counts must sum to the run's total"
     );
+}
+
+#[test]
+fn split_c_reductions_reach_the_collective_counters() {
+    // Each of these apps synchronizes through `Ctx::allreduce_sum` inside
+    // its measured region.
+    for name in ["Murphi", "Connect", "NOW-sort"] {
+        let report = app_named(name)
+            .run(&spec(MetricsMode::On))
+            .metrics
+            .expect("metrics requested");
+        assert!(
+            report.summary.coll.reduces > 0,
+            "{name}: Split-C reductions missing from coll.reduces"
+        );
+    }
 }

@@ -174,8 +174,8 @@ fn radix_observer_outputs_match_goldens() {
         got,
         &[
             ("radix/metrics", 0x073c_1376_4ad4_5e72),
-            ("radix/summary", 0x5f65_419e_0f8b_9b35),
-            ("radix/chrome", 0x7a4a_c0f5_1c3e_ec73),
+            ("radix/summary", 0x9f7e_9e95_cc25_35c0),
+            ("radix/chrome", 0xf19d_92f2_4eb5_8a3d),
             ("radix/predict", 0xadde_2fd3_e110_8143),
         ],
     );
@@ -202,8 +202,8 @@ fn lossy_radix_observer_outputs_match_goldens() {
         observed("radix-drop", "Radix", lossy()),
         &[
             ("radix-drop/metrics", 0x518e_73d7_4093_01bc),
-            ("radix-drop/summary", 0xdce2_59b8_aea3_3171),
-            ("radix-drop/chrome", 0x7a07_18dd_ac05_a04b),
+            ("radix-drop/summary", 0xdc72_9aa0_b0de_08c6),
+            ("radix-drop/chrome", 0x6d75_62b2_5c9c_466f),
         ],
     );
 }
