@@ -103,7 +103,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let flags = match parse_flags(rest) {
+    let flags = match parse_flags(cmd, rest) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -134,13 +134,78 @@ fn main() -> ExitCode {
 /// Flags that take no value; their presence maps to `"true"`.
 const BOOL_FLAGS: &[&str] = &["verify-determinism", "trace-summary", "metrics-summary"];
 
-fn parse_flags(rest: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags `net_of` reads: every command that builds a network takes them.
+const NET_FLAGS: &[&str] = &[
+    "o",
+    "g",
+    "l",
+    "mbps",
+    "window",
+    "drop-rate",
+    "fault-seed",
+    "crash",
+    "straggler",
+];
+
+/// True if `cmd` reads `--flag`. Unknown commands take any flag, so that
+/// `main` reports the command itself as the error.
+fn takes_flag(cmd: &str, flag: &str) -> bool {
+    let own: &[&str] = match cmd {
+        "list" => return false,
+        "calibrate" => &[],
+        "run" => &[
+            "app",
+            "procs",
+            "seed",
+            "scale",
+            "coll-algo",
+            "jobs",
+            "verify-determinism",
+            "trace",
+            "trace-summary",
+            "metrics",
+            "metrics-summary",
+        ],
+        // The union of the knob sweep's flags and the chaos sweep's.
+        "sweep" => &[
+            "app",
+            "axis",
+            "procs",
+            "seed",
+            "scale",
+            "coll-algo",
+            "jobs",
+            "trace-summary",
+            "metrics",
+            "metrics-summary",
+        ],
+        "suite" => &["procs", "scale", "coll-algo", "jobs"],
+        "predict" => &[
+            "app",
+            "axis",
+            "procs",
+            "seed",
+            "scale",
+            "coll-algo",
+            "jobs",
+            "out",
+            "trace",
+        ],
+        _ => return true,
+    };
+    own.contains(&flag) || NET_FLAGS.contains(&flag)
+}
+
+fn parse_flags(cmd: &str, rest: &[String]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected a --flag, got `{flag}`"));
         };
+        if !takes_flag(cmd, name) {
+            return Err(format!("`{cmd}` does not take --{name}"));
+        }
         if BOOL_FLAGS.contains(&name) {
             flags.insert(name.to_string(), "true".to_string());
             continue;

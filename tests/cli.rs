@@ -334,6 +334,27 @@ fn bad_arguments_fail_with_usage() {
     let (ok, text) = nowlab(&["run", "--app", "radix", "--scale", "test", "--jobs", "0"]);
     assert!(!ok);
     assert!(text.contains("--jobs"), "{text}");
+
+    // A flag the subcommand does not read is an error, not a silent
+    // baseline run (the latency knob is `--l`).
+    let (ok, text) = nowlab(&[
+        "run",
+        "--app",
+        "radix",
+        "--procs",
+        "4",
+        "--scale",
+        "test",
+        "--latency",
+        "105",
+    ]);
+    assert!(!ok);
+    assert!(text.contains("`run` does not take --latency"), "{text}");
+    assert!(text.contains("usage:"), "{text}");
+
+    let (ok, text) = nowlab(&["suite", "--procz", "4", "--scale", "test"]);
+    assert!(!ok);
+    assert!(text.contains("`suite` does not take --procz"), "{text}");
 }
 
 #[test]
