@@ -1,6 +1,5 @@
 //! The graph-aware lint families introduced by analyzer v2, implemented
-//! over the [`FileModel`](crate::itemtree::FileModel) item tree rather than
-//! the raw token stream.
+//! over the [`FileModel`] item tree rather than the raw token stream.
 //!
 //! **`LAY…` — crate layering.** The ten-crate stack (rng → sim → am →
 //! coll → splitc → apps, trace/metrics observe-only) encodes where the paper's

@@ -18,7 +18,7 @@
 //! sequential reference in the tests).
 //!
 //! Each full step ends with a convergence reduce over the collectives
-//! layer ([`nowlab_coll`] via `Ctx::coll_allreduce_sum`): the processors
+//! layer (`nowlab-coll` via `Ctx::coll_allreduce_sum`): the processors
 //! sum how many node values changed and stop early if the field has
 //! globally fixed. The wrapping update never literally fixes at these
 //! sizes, so the step count (and the sequential reference) is unchanged —

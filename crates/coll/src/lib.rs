@@ -13,11 +13,11 @@
 //! | allgather  | ring, direct exchange |
 //! | all-to-all | direct exchange, pairwise synchronized |
 //!
-//! Because the network is a calibrated LogGP machine ([`NetConfig`]), an
-//! **analytic cost model** ([`model`]) predicts each variant's completion
-//! time from the parameter vector `(L, o, g, G)`, the processor count, and
-//! the message size — and a [`Selector`] picks the cheapest variant per
-//! call site. The paper's knobs move the crossover points: high overhead
+//! Because the network is a calibrated LogGP machine
+//! ([`NetConfig`](nowlab_am::NetConfig)), an **analytic cost model**
+//! ([`model`]) predicts each variant's completion time from the parameter
+//! vector `(L, o, g, G)`, the processor count, and the message size — and
+//! a [`Selector`] picks the cheapest variant per call site. The paper's knobs move the crossover points: high overhead
 //! favours the binomial tree's `O(log P)` message count, while scarce
 //! bandwidth favours the chain's pipelining of large payloads. The
 //! conformance suite pins the model against simulated time so the selector

@@ -67,7 +67,8 @@ struct Edge {
 pub struct PathBreakdown {
     /// Predicted measured-region span (the buckets sum to this exactly).
     pub total: SimDelta,
-    /// Per-bucket time on the critical path, indexed by [`Bucket::index`].
+    /// Per-bucket time on the critical path, indexed by
+    /// [`Bucket::index`](crate::Bucket::index).
     pub buckets: [SimDelta; BUCKETS],
     /// Per-application-phase rows, labels in lexicographic order.
     pub phases: Vec<PhaseRow>,
@@ -82,7 +83,7 @@ pub struct PathBreakdown {
 pub struct PhaseRow {
     /// Phase label (`"(startup)"` before the first mark).
     pub label: String,
-    /// Per-bucket time, indexed by [`Bucket::index`].
+    /// Per-bucket time, indexed by [`Bucket::index`](crate::Bucket::index).
     pub buckets: [SimDelta; BUCKETS],
     /// Row total.
     pub total: SimDelta,

@@ -449,7 +449,7 @@ impl Ctx {
     // ------------------------------------------------------------------
 
     /// Acquires a spin lock at `gp` (word must be 0 when free) with a
-    /// fixed [`LOCK_RETRY`] backoff. Returns the number of attempts — the
+    /// fixed `LOCK_RETRY` backoff. Returns the number of attempts — the
     /// paper's Barnes instrumentation counts failed acquisitions to
     /// diagnose livelock, and under contention this naive spin exhibits
     /// exactly that retry explosion.
